@@ -15,78 +15,53 @@
 // scenario-parallel speedup achieved on this host. Exact when workers fit
 // in free cores; on an oversubscribed host the per-cell walls are inflated
 // by timesharing, so treat it as an upper bound there.
+//
+// The grid and the cell body are the sweep tools' (tools/sweep_common.hpp):
+// repmpi_sweep runs the same cells as separate processes, this bench runs
+// them as threads in one process.
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "apps/hpccg.hpp"
 #include "bench_common.hpp"
 #include "kernels/backend.hpp"
 #include "sim/simulator.hpp"
 #include "support/compute_cache.hpp"
 #include "support/task_pool.hpp"
+#include "sweep_common.hpp"
 
 namespace repmpi::bench {
 namespace {
 
-struct Cell {
-  int logical = 0;
-  int degree = 0;
-  const char* scenario = "none";  ///< none / early_crash / late_crash
-  // Filled in by the run:
+/// One grid cell and what its run measured.
+struct CellOutcome {
+  tools::Cell cell;
   double wallclock = 0;
-  double efficiency = 0;
   double wall_host_s = 0;
-  sim::SubstrateTotals substrate;  ///< events/messages/switches/bypass delta
-  support::ComputeCacheStats cache;
-  kernels::KernelTotals kernels;   ///< host kernel-family ns delta
+  sim::SubstrateTotals substrate{};  ///< events/messages/switches/bypass delta
+  support::ComputeCacheStats cache{};
+  kernels::KernelTotals kernels{};   ///< host kernel-family ns delta
 };
 
-double run_cell(Cell& c, int nx, int iters, double* host_wall_s,
-                sim::SubstrateTotals* delta,
-                support::ComputeCacheStats* cache_stats) {
-  fault::FaultPlan plan;
-  if (std::string(c.scenario) == "early_crash") {
-    // A replica (plane 1 of logical rank 0) dies right after its 2nd task.
-    plan.add({.world_rank = c.logical, .site = fault::CrashSite::kAfterTaskExec,
-              .nth = 2});
-  } else if (std::string(c.scenario) == "late_crash") {
-    // Same replica dies mid-update deep into the run.
-    plan.add({.world_rank = c.logical,
-              .site = fault::CrashSite::kBetweenArgSends,
-              .nth = 4 * iters});
-  }
-
-  RunConfig cfg;
-  cfg.mode = c.degree == 1 ? RunMode::kNative : RunMode::kIntra;
-  cfg.num_logical = c.logical;
-  cfg.degree = c.degree;
-  if (!plan.empty()) cfg.faults = &plan;
-
-  apps::HpccgParams p;
-  p.nx = p.ny = nx;
-  p.nz = 2 * nx;
-  p.iterations = iters;
-
+void run_measured(CellOutcome& o, int nx, int iters) {
   // The cell runs entirely on this worker thread, so the thread-local
   // substrate totals delta is exactly this simulation's event/message count
   // (tasks never interleave on a thread).
   const sim::SubstrateTotals before = sim::substrate_totals();
   const kernels::KernelTotals kt_before = kernels::kernel_totals();
   const auto start = std::chrono::steady_clock::now();
-  const apps::RunResult r =
-      apps::run_app(cfg, [&](apps::AppContext& ctx) { apps::hpccg(ctx, p); });
+  const tools::CellRun run = tools::run_cell(o.cell, nx, iters);
   const auto end = std::chrono::steady_clock::now();
-  const sim::SubstrateTotals after = sim::substrate_totals();
-  *host_wall_s = std::chrono::duration<double>(end - start).count();
-  *delta = after;
-  *delta -= before;
-  *cache_stats = r.compute_cache;
-  c.kernels = kernels::kernel_totals();
-  c.kernels -= kt_before;
-  return r.wallclock;
+  o.substrate = sim::substrate_totals();
+  o.substrate -= before;
+  o.kernels = kernels::kernel_totals();
+  o.kernels -= kt_before;
+  o.wall_host_s = std::chrono::duration<double>(end - start).count();
+  o.cache = run.result.compute_cache;
+  o.wallclock = run.result.wallclock;
 }
 
 REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
@@ -103,23 +78,11 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
                "independent scenarios scale with the worker count; per-cell "
                "efficiencies match a serial run bit for bit");
 
-  // The grid: native references (degree 1) first, then every replicated
-  // cell. Cells are independent simulations — ideal TaskPool citizens.
-  std::vector<Cell> cells;
-  const int logicals[] = {2, 4};
-  const int degrees[] = {2, 3};
-  const char* scenarios[] = {"none", "early_crash", "late_crash"};
-  const auto make_cell = [](int logical, int degree, const char* scenario) {
-    Cell c;
-    c.logical = logical;
-    c.degree = degree;
-    c.scenario = scenario;
-    return c;
-  };
-  for (int l : logicals) cells.push_back(make_cell(l, 1, "none"));
-  for (int l : logicals)
-    for (int d : degrees)
-      for (const char* s : scenarios) cells.push_back(make_cell(l, d, s));
+  // The sweep tools' grid: native references (degree 1) first, then every
+  // replicated cell. Cells are independent simulations — ideal TaskPool
+  // citizens.
+  std::vector<CellOutcome> cells;
+  for (const tools::Cell& c : tools::make_grid()) cells.push_back({.cell = c});
 
   const auto sweep_start = std::chrono::steady_clock::now();
   bool ran_on_workers = false;
@@ -127,12 +90,8 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
     support::TaskPool pool(
         std::min<unsigned>(jobs, static_cast<unsigned>(cells.size())));
     ran_on_workers = pool.num_threads() > 1;
-    for (Cell& c : cells) {
-      pool.submit([&c, nx, iters] {
-        c.wallclock =
-            run_cell(c, nx, iters, &c.wall_host_s, &c.substrate, &c.cache);
-      });
-    }
+    for (CellOutcome& o : cells)
+      pool.submit([&o, nx, iters] { run_measured(o, nx, iters); });
     pool.wait();
   }
   const double elapsed = std::chrono::duration<double>(
@@ -141,32 +100,25 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
 
   // Efficiencies against the native reference of the same logical count
   // (fixed-problem protocol: the replicated run burns degree x resources).
-  double native_wall[8] = {};
-  for (const Cell& c : cells)
-    if (c.degree == 1)
-      for (std::size_t i = 0; i < 2; ++i)
-        if (logicals[i] == c.logical) native_wall[i] = c.wallclock;
+  std::map<int, double> native_wall;
+  for (const CellOutcome& o : cells)
+    if (o.cell.degree == 1) native_wall[o.cell.logical] = o.wallclock;
 
   Table t({"logical", "degree", "failure", "time (s)", "efficiency"});
   double serial_estimate = 0;
-  sim::SubstrateTotals substrate_total;
-  for (Cell& c : cells) {
-    serial_estimate += c.wall_host_s;
-    substrate_total += c.substrate;
-    double tn = 0;
-    for (std::size_t i = 0; i < 2; ++i)
-      if (logicals[i] == c.logical) tn = native_wall[i];
-    c.efficiency = c.degree == 1
-                       ? 1.0
-                       : apps::efficiency_fixed_problem(tn, c.wallclock,
-                                                        c.degree);
+  for (const CellOutcome& o : cells) {
+    const tools::Cell& c = o.cell;
+    serial_estimate += o.wall_host_s;
+    const double efficiency =
+        c.degree == 1 ? 1.0
+                      : apps::efficiency_fixed_problem(
+                            native_wall[c.logical], o.wallclock, c.degree);
     t.add_row({std::to_string(c.logical), std::to_string(c.degree),
-               c.scenario, Table::fmt(c.wallclock, 4),
-               fmt_eff(c.efficiency)});
+               c.scenario, Table::fmt(o.wallclock, 4), fmt_eff(efficiency)});
     if (c.degree > 1) {
       ctx.metric("eff_l" + std::to_string(c.logical) + "_d" +
                      std::to_string(c.degree) + "_" + c.scenario,
-                 c.efficiency);
+                 efficiency);
     }
   }
   t.print(ctx.out());
@@ -176,19 +128,11 @@ REPMPI_BENCH(sweep, "scenario sweep: nodes x degree x failures on task pool") {
   // but only when the cells really ran on pool workers (and thus fed
   // *their* thread-local totals); in inline mode they already counted here.
   if (ran_on_workers) {
-    sim::add_substrate(substrate_total);
-    support::ComputeCacheStats cache_total;
-    kernels::KernelTotals kernel_total;
-    for (const Cell& c : cells) {
-      cache_total.hits += c.cache.hits;
-      cache_total.misses += c.cache.misses;
-      cache_total.bypasses += c.cache.bypasses;
-      cache_total.evictions += c.cache.evictions;
-      cache_total.shared_bytes += c.cache.shared_bytes;
-      kernel_total += c.kernels;
+    for (const CellOutcome& o : cells) {
+      sim::add_substrate(o.substrate);
+      support::add_compute_cache_totals(o.cache);
+      kernels::add_kernel_totals(o.kernels);
     }
-    support::add_compute_cache_totals(cache_total);
-    kernels::add_kernel_totals(kernel_total);
   }
 
   const double speedup = elapsed > 0 ? serial_estimate / elapsed : 1.0;

@@ -358,6 +358,7 @@ class Simulator {
     fiber::Context fctx;
     StackMem stack;
     void* tsan_fiber = nullptr;  ///< ThreadSanitizer fiber handle (TSan only)
+    void* asan_fake_stack = nullptr;  ///< ASan fake-stack save (ASan only)
     PState state = PState::kReady;
     bool started = false;
     bool killed = false;
@@ -506,6 +507,9 @@ class Simulator {
   fiber::Context sched_ctx_;  ///< saved scheduler context during a switch
   Pid current_ = kNoPid;      ///< fiber currently executing (kNoPid: scheduler)
   void* sched_tsan_fiber_ = nullptr;  ///< TSan handle of the scheduler side
+  /// The scheduler side's stack as ASan last reported it (ASan only).
+  const void* sched_stack_bottom_ = nullptr;
+  std::size_t sched_stack_size_ = 0;
 
   std::function<void(Pid, Time)> switch_hook_;
   bool in_run_ = false;

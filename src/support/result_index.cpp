@@ -5,30 +5,30 @@
 namespace repmpi::support {
 
 std::size_t ResultIndex::add_log(const std::string& path) {
-  const std::size_t log_id = logs_++;
+  ++logs_;
   ResultLogReader reader(path);
   ResultRecord rec;
   std::size_t ingested = 0;
-  while (reader.next(&rec)) {
-    const std::uint64_t seq = seq_++;
-    ++records_;
-    ++ingested;
-    auto [it, fresh] = latest_.try_emplace(rec.key);
-    IndexedResult& entry = it->second;
-    if (fresh) {
-      entry.runs = 1;
-      entry.total_attempts = rec.attempts;
-    } else {
-      entry.runs += 1;
-      entry.total_attempts += rec.attempts;
-    }
-    entry.record = std::move(rec);
-    entry.log_id = log_id;
-    entry.seq = seq;
-  }
+  for (; reader.next(&rec); ++ingested) add(rec);
   last_log_torn_ = reader.dropped_tail();
   if (last_log_torn_) ++torn_logs_;
   return ingested;
+}
+
+void ResultIndex::add(const ResultRecord& rec) {
+  ++records_;
+  auto [it, fresh] = latest_.try_emplace(rec.key);
+  IndexedResult& entry = it->second;
+  if (fresh) {
+    entry.runs = 1;
+    entry.total_attempts = rec.attempts;
+  } else {
+    entry.runs += 1;
+    entry.total_attempts += rec.attempts;
+  }
+  entry.record = rec;
+  entry.log_id = logs_ == 0 ? 0 : logs_ - 1;
+  entry.seq = seq_++;
 }
 
 const IndexedResult* ResultIndex::find(const std::string& key) const {

@@ -4,19 +4,22 @@
 // the sweep service. A daemon (or several daemon incarnations, or a mix of
 // one-shot sweeps and daemons) leaves behind append-only logs; the index
 // scans and merges them into latest-result-per-key state that powers
-// `repmpi_sweepctl status|query|dump`.
+// `repmpi_sweepctl status|query|dump` and `repmpi_sweep --dump`.
 //
 // Merge rule, deterministic by construction: logs are ingested in the order
 // add_log() is called, records within a log in append order, and the last
-// record ingested for a key wins (exactly ResultLog::latest_by_key lifted
-// across files). Per-key run/attempt totals aggregate over every record,
-// not just the winning one — "how many times did this cell execute" is a
-// robustness signal the winning record alone cannot carry.
+// record ingested for a key wins. Per-key run/attempt totals aggregate
+// over every record, not just the winning one — "how many times did this
+// cell execute" is a robustness signal the winning record alone cannot
+// carry.
 //
 // Torn-log tolerance is inherited from ResultLogReader: a log whose tail
 // was torn by a SIGKILL'd writer contributes its consistent prefix and is
 // counted in torn_logs(); a missing file contributes nothing (not an
 // error — a fresh daemon has no results yet).
+//
+// add() ingests one record directly: the sweep core feeds every record it
+// appends, so a live writer's per-key state is this same index.
 
 #include <cstdint>
 #include <map>
@@ -65,6 +68,10 @@ class ResultIndex {
   /// Scans one log (consistent prefix only) into the index. Returns the
   /// number of records ingested; 0 for a missing or empty log.
   std::size_t add_log(const std::string& path);
+
+  /// Ingests one record as the latest for its key, attributed to the most
+  /// recent add_log() (log_id 0 when there was none).
+  void add(const ResultRecord& rec);
 
   /// True when the most recent add_log() hit a torn/corrupt tail.
   bool last_log_torn() const { return last_log_torn_; }

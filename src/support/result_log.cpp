@@ -408,10 +408,4 @@ void ResultLog::append(const ResultRecord& record) {
   records_.push_back(record);
 }
 
-std::map<std::string, ResultRecord> ResultLog::latest_by_key() const {
-  std::map<std::string, ResultRecord> latest;
-  for (const ResultRecord& r : records_) latest[r.key] = r;
-  return latest;
-}
-
 }  // namespace repmpi::support

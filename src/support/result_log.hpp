@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -131,10 +130,6 @@ class ResultLog {
   bool recovered_torn_tail() const { return recovered_torn_tail_; }
 
   const std::string& path() const { return path_; }
-
-  /// The last record per key, in key order — the sweep's view of a log
-  /// where retried/re-run cells append a fresh record.
-  std::map<std::string, ResultRecord> latest_by_key() const;
 
  private:
   std::string path_;

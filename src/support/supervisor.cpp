@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -119,7 +120,6 @@ void Supervisor::finish_attempt(Child& c, CellStatus status, int code) {
     *cfg_.log << "[supervisor] " << item.key << ": " << to_string(status)
               << " (attempts " << r.attempts << ", code " << code << ")\n";
   if (cfg_.on_result) cfg_.on_result(item, r);
-  if (collect_) collect_(c.id, std::move(r));
   entries_.erase(c.id);
 }
 
@@ -193,9 +193,15 @@ void Supervisor::step(int max_wait_ms) {
         envp.push_back(const_cast<char*>(e.c_str()));
       envp.push_back(nullptr);
 
+      const pid_t parent = ::getpid();
       const pid_t pid = ::fork();
       REPMPI_CHECK_MSG(pid >= 0, "fork() failed for " << item.key);
       if (pid == 0) {
+        // Die with the supervisor: a SIGKILLed supervisor must not leave
+        // workers running in their own process groups. If the parent died
+        // before the prctl, no signal will come — exit now instead.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent) ::_exit(127);
         // Own process group so a timeout kill reaps the worker's whole
         // tree — a grandchild left alive would hold the stdout pipe open
         // forever.
@@ -301,19 +307,6 @@ void Supervisor::step(int max_wait_ms) {
       ++i;
     }
   }
-}
-
-std::vector<WorkResult> Supervisor::run(const std::vector<WorkItem>& items) {
-  std::vector<WorkResult> results(items.size());
-  const std::uint64_t base = next_id_;
-  for (const WorkItem& item : items) enqueue(item);
-  collect_ = [&](std::uint64_t id, WorkResult&& r) {
-    if (id >= base && id - base < results.size())
-      results[id - base] = std::move(r);
-  };
-  while (active() > 0) step(500);
-  collect_ = nullptr;
-  return results;
 }
 
 }  // namespace repmpi::support

@@ -18,14 +18,18 @@
 // Results are deterministic in content (the workers are deterministic
 // simulations); only completion order depends on the host.
 //
-// Two driving modes share the same engine:
-//   - run(items): the batch mode of the one-shot sweep tool — blocks until
-//     every item is terminal, returns results in item order.
-//   - enqueue() + step(): the incremental mode the long-running sweep
-//     daemon embeds in its own poll loop — items arrive over time, each
-//     terminal result is delivered through cfg.on_result, and
-//     hold_first_attempts() implements graceful drain (in-flight cells
-//     finish, never-started ones stay parked).
+// It is driven incrementally: enqueue() adds items at any time, step()
+// advances the engine, each terminal result is delivered through
+// cfg.on_result, and hold_first_attempts() implements graceful drain
+// (in-flight cells finish, never-started ones stay parked). The batch sweep
+// tool steps it until idle; the sweep daemon steps it from its own poll
+// loop.
+//
+// Workers never outlive the supervisor: each child is armed with
+// PR_SET_PDEATHSIG(SIGKILL) before exec, so a supervisor that is SIGKILLed
+// takes its workers with it. The death signal follows the *thread* that
+// forked the child, so the thread driving step() must outlive its children
+// (the destructor also kills and reaps whatever still runs).
 
 #include <sys/types.h>
 
@@ -90,12 +94,8 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Batch mode: runs every item to a terminal status. Returns results in
-  /// item order. Items already enqueued incrementally complete too.
-  std::vector<WorkResult> run(const std::vector<WorkItem>& items);
-
-  /// Incremental mode: adds one item to the queue. It starts on a
-  /// subsequent step() call; its terminal result arrives via cfg.on_result.
+  /// Adds one item to the queue. It starts on a subsequent step() call; its
+  /// terminal result arrives via cfg.on_result.
   void enqueue(WorkItem item);
 
   /// One iteration of the engine: spawn ready attempts, wait for output /
@@ -163,9 +163,6 @@ class Supervisor {
   std::deque<Pending> pending_;
   std::vector<Child> running_;
   bool hold_fresh_ = false;
-  /// Batch-mode collector (null in incremental mode): routes a terminal
-  /// result to its slot in run()'s item-ordered result vector.
-  std::function<void(std::uint64_t id, WorkResult&&)> collect_;
 };
 
 }  // namespace repmpi::support

@@ -57,6 +57,34 @@ TEST(ResultIndex, SingleLogLatestPerKeyWithAggregates) {
   EXPECT_EQ(index.find("nope"), nullptr);
 }
 
+TEST(ResultIndex, RecordsAddedByAWriterMatchTheLogReadBack) {
+  // The sweep core feeds each record it appends into add(): its live
+  // per-key state must equal what an offline add_log() of the same log
+  // reports.
+  const std::string path = temp_log_path("live");
+  ResultIndex live;
+  {
+    ResultLog log(path);
+    for (const ResultRecord& r :
+         {make_record("a", CellStatus::kCrash, 3),
+          make_record("b", CellStatus::kOk, 1, "b1"),
+          make_record("a", CellStatus::kOk, 1, "a2")}) {  // re-run succeeded
+      log.append(r);
+      live.add(r);
+    }
+  }
+  ResultIndex read;
+  read.add_log(path);
+  for (const ResultIndex* index : {&live, &read}) {
+    ASSERT_EQ(index->size(), 2u);
+    EXPECT_EQ(index->find("a")->record.status, CellStatus::kOk);
+    EXPECT_EQ(index->find("a")->record.blob, "a2");
+    EXPECT_EQ(index->find("a")->runs, 2u);
+    EXPECT_EQ(index->find("b")->record.blob, "b1");
+    EXPECT_EQ(index->stats().records, 3u);
+  }
+}
+
 TEST(ResultIndex, LaterLogWinsPerKey) {
   // A one-shot sweep's log plus a daemon incarnation's log: the daemon
   // re-ran cell "a"; ingest order decides the winner deterministically.

@@ -249,19 +249,6 @@ TEST(ResultLog, RecoveryTruncatesOrphanBlobBytes) {
   EXPECT_EQ(records[1].blob, "blob-b");
 }
 
-TEST(ResultLog, LatestByKeySelectsLastRecord) {
-  const std::string path = temp_log_path("latest");
-  ResultLog log(path);
-  log.append(make_record("a", CellStatus::kCrash, "", 3, 11));
-  log.append(make_record("b", CellStatus::kOk, "b1"));
-  log.append(make_record("a", CellStatus::kOk, "a2", 1));  // re-run succeeded
-  const auto latest = log.latest_by_key();
-  ASSERT_EQ(latest.size(), 2u);
-  EXPECT_EQ(latest.at("a").status, CellStatus::kOk);
-  EXPECT_EQ(latest.at("a").blob, "a2");
-  EXPECT_EQ(latest.at("b").blob, "b1");
-}
-
 TEST(ResultLog, ConcurrentReaderSeesOnlyWholeValidRecords) {
   // The results-index scan runs against logs a live daemon is appending to
   // (sweepctl dump/stats while sweepd serves). The reader must only ever

@@ -1,15 +1,24 @@
 // Supervisor tests: fork/exec'd /bin/sh workers exercising every failure
 // class (crash / timeout / nonzero exit / corrupt output), bounded retry
-// with the attempt counter exported to children, kill-on-timeout, and
-// graceful degradation — one bad item never takes down the queue.
+// with the attempt counter exported to children, kill-on-timeout, workers
+// dying with a killed supervisor, and graceful degradation — one bad item
+// never takes down the queue.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/error.hpp"
@@ -37,9 +46,26 @@ SupervisorConfig fast_cfg(int jobs = 1, int max_attempts = 1) {
   return cfg;
 }
 
+/// Runs every item to a terminal status through enqueue()/step() and
+/// returns the results in item order (keys are unique within each test).
+/// Any on_result hook in `cfg` still fires.
+std::vector<WorkResult> run_all(SupervisorConfig cfg,
+                                const std::vector<WorkItem>& items) {
+  std::vector<WorkResult> results(items.size());
+  cfg.on_result = [&results, &items, hook = cfg.on_result](
+                      const WorkItem& item, const WorkResult& r) {
+    if (hook) hook(item, r);
+    for (std::size_t i = 0; i < items.size(); ++i)
+      if (items[i].key == item.key) results[i] = r;
+  };
+  Supervisor sup(cfg);
+  for (const WorkItem& item : items) sup.enqueue(item);
+  while (sup.active() > 0) sup.step(500);
+  return results;
+}
+
 TEST(Supervisor, CleanExitCapturesOutput) {
-  Supervisor sup(fast_cfg());
-  const auto results = sup.run({sh("ok", "echo hello")});
+  const auto results = run_all(fast_cfg(), {sh("ok", "echo hello")});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].key, "ok");
   EXPECT_EQ(results[0].status, CellStatus::kOk);
@@ -49,8 +75,7 @@ TEST(Supervisor, CleanExitCapturesOutput) {
 }
 
 TEST(Supervisor, NonzeroExitClassifiedWithCode) {
-  Supervisor sup(fast_cfg(1, 2));
-  const auto results = sup.run({sh("bad", "exit 7")});
+  const auto results = run_all(fast_cfg(1, 2), {sh("bad", "exit 7")});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, CellStatus::kExit);
   EXPECT_EQ(results[0].code, 7);
@@ -58,8 +83,7 @@ TEST(Supervisor, NonzeroExitClassifiedWithCode) {
 }
 
 TEST(Supervisor, SignalDeathClassifiedAsCrash) {
-  Supervisor sup(fast_cfg());
-  const auto results = sup.run({sh("crash", "kill -9 $$")});
+  const auto results = run_all(fast_cfg(), {sh("crash", "kill -9 $$")});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, CellStatus::kCrash);
   EXPECT_EQ(results[0].code, 9);
@@ -69,8 +93,7 @@ TEST(Supervisor, ExecFailureIsNonzeroExit127) {
   WorkItem item;
   item.key = "noexec";
   item.argv = {"/nonexistent/definitely-not-a-binary"};
-  Supervisor sup(fast_cfg());
-  const auto results = sup.run({item});
+  const auto results = run_all(fast_cfg(), {item});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, CellStatus::kExit);
   EXPECT_EQ(results[0].code, 127);
@@ -78,8 +101,8 @@ TEST(Supervisor, ExecFailureIsNonzeroExit127) {
 
 TEST(Supervisor, HungWorkerKilledAtDeadline) {
   const auto t0 = std::chrono::steady_clock::now();
-  Supervisor sup(fast_cfg());
-  const auto results = sup.run({sh("hang", "sleep 600", /*timeout_sec=*/0.3)});
+  const auto results =
+      run_all(fast_cfg(), {sh("hang", "sleep 600", /*timeout_sec=*/0.3)});
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -94,9 +117,8 @@ TEST(Supervisor, TimeoutKillsTheWholeWorkerTree) {
   // deadline kill must take down the whole process group: an orphaned
   // grandchild would hold the pipe's write end open forever (and once
   // livelocked the reaper's drain loop).
-  Supervisor sup(fast_cfg());
-  const auto results =
-      sup.run({sh("tree", "sleep 631 & wait", /*timeout_sec=*/0.3)});
+  const auto results = run_all(
+      fast_cfg(), {sh("tree", "sleep 631 & wait", /*timeout_sec=*/0.3)});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, CellStatus::kTimeout);
 
@@ -111,14 +133,64 @@ TEST(Supervisor, TimeoutKillsTheWholeWorkerTree) {
       << "orphaned grandchild survived the timeout kill";
 }
 
+TEST(Supervisor, WorkersDieWithASigkilledSupervisor) {
+  // A supervisor killed with SIGKILL (the sweep tools' kill-after chaos
+  // knobs, an operator's kill -9) runs no destructor, and its workers sit
+  // in their own process groups: only the parent-death signal stops them.
+  const std::string pid_file = ::testing::TempDir() + "supervisor_worker.pid";
+  std::remove(pid_file.c_str());
+  // Orphans reparent to this process, so the worker's end is observable
+  // with waitpid (and a surviving worker can be cleaned up below).
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    try {
+      Supervisor sup(fast_cfg());
+      sup.enqueue(sh("stuck", "echo $$ > " + pid_file + "; exec sleep 600",
+                     /*timeout_sec=*/600));
+      for (;;) sup.step(100);
+    } catch (...) {
+    }
+    ::_exit(1);
+  }
+
+  pid_t worker = -1;
+  for (int i = 0; i < 500 && worker <= 0; ++i) {
+    std::ifstream in(pid_file);
+    std::string line;
+    if (std::getline(in, line) && !in.eof()) worker = std::stoi(line);
+    if (worker <= 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(helper, SIGKILL);
+  ::waitpid(helper, nullptr, 0);
+  ASSERT_GT(worker, 0) << "the worker never started";
+
+  bool gone = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!gone && std::chrono::steady_clock::now() < deadline) {
+    const pid_t r = ::waitpid(worker, nullptr, WNOHANG);
+    gone = r == worker ||
+           (r < 0 && ::kill(worker, 0) != 0 && errno == ESRCH);
+    if (!gone) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!gone) {
+    ::kill(worker, SIGKILL);
+    ::waitpid(worker, nullptr, 0);
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  EXPECT_TRUE(gone) << "worker " << worker
+                    << " outlived its SIGKILLed supervisor";
+}
+
 TEST(Supervisor, ValidateRejectionClassifiedAsCorrupt) {
   SupervisorConfig cfg = fast_cfg();
   cfg.validate = [](const WorkItem&, const std::string& output) {
     return output.find("MAGIC") != std::string::npos;
   };
-  Supervisor sup(cfg);
   const auto results =
-      sup.run({sh("good", "echo MAGIC"), sh("garbled", "echo mangled")});
+      run_all(cfg, {sh("good", "echo MAGIC"), sh("garbled", "echo mangled")});
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].status, CellStatus::kOk);
   EXPECT_EQ(results[1].status, CellStatus::kCorrupt);
@@ -128,10 +200,10 @@ TEST(Supervisor, ValidateRejectionClassifiedAsCorrupt) {
 TEST(Supervisor, RetrySucceedsUsingExportedAttemptCounter) {
   // Fails on attempt 1, succeeds on attempt 2 — proves both the retry path
   // and that REPMPI_SWEEP_ATTEMPT reaches the child.
-  Supervisor sup(fast_cfg(1, 3));
-  const auto results = sup.run({sh(
-      "flaky", "if [ \"$REPMPI_SWEEP_ATTEMPT\" = 1 ]; then exit 1; fi; "
-               "echo recovered")});
+  const auto results = run_all(
+      fast_cfg(1, 3),
+      {sh("flaky", "if [ \"$REPMPI_SWEEP_ATTEMPT\" = 1 ]; then exit 1; fi; "
+                   "echo recovered")});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, CellStatus::kOk);
   EXPECT_EQ(results[0].attempts, 2);
@@ -141,8 +213,7 @@ TEST(Supervisor, RetrySucceedsUsingExportedAttemptCounter) {
 TEST(Supervisor, ExtraEnvReachesChild) {
   WorkItem item = sh("env", "echo \"$REPMPI_TEST_TOKEN\"");
   item.env = {"REPMPI_TEST_TOKEN=sentinel-42"};
-  Supervisor sup(fast_cfg());
-  const auto results = sup.run({item});
+  const auto results = run_all(fast_cfg(), {item});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].output, "sentinel-42\n");
 }
@@ -157,8 +228,8 @@ TEST(Supervisor, QueueDegradesGracefullyAroundFailures) {
   items.push_back(sh("hang", "sleep 600", /*timeout_sec=*/0.3));
   items.push_back(sh("bad", "exit 3"));
   items.push_back(sh("ok2", "echo c"));
-  Supervisor sup(fast_cfg(/*jobs=*/3, /*max_attempts=*/1));
-  const auto results = sup.run(items);
+  const auto results =
+      run_all(fast_cfg(/*jobs=*/3, /*max_attempts=*/1), items);
   ASSERT_EQ(results.size(), 6u);
   EXPECT_EQ(results[0].status, CellStatus::kOk);
   EXPECT_EQ(results[0].output, "a\n");
@@ -178,8 +249,7 @@ TEST(Supervisor, OnResultFiresOncePerItemWithTerminalStatus) {
   cfg.on_result = [&seen](const WorkItem& item, const WorkResult& r) {
     seen.push_back(item.key + ":" + to_string(r.status));
   };
-  Supervisor sup(cfg);
-  sup.run({sh("a", "echo x"), sh("b", "exit 1")});
+  run_all(cfg, {sh("a", "echo x"), sh("b", "exit 1")});
   ASSERT_EQ(seen.size(), 2u);
   // Completion order varies; sort for a stable comparison.
   std::sort(seen.begin(), seen.end());
@@ -204,8 +274,7 @@ TEST(Supervisor, RetryWaitsAtLeastTheBackoffDelay) {
   cfg.backoff_base_sec = 0.4;
   cfg.backoff_cap_sec = 1.0;
   const auto t0 = std::chrono::steady_clock::now();
-  Supervisor sup(cfg);
-  const auto results = sup.run({sh("flaky", "exit 1")});
+  const auto results = run_all(cfg, {sh("flaky", "exit 1")});
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -217,8 +286,7 @@ TEST(Supervisor, DiagnosticLogMentionsRetryAndClass) {
   std::ostringstream log;
   SupervisorConfig cfg = fast_cfg(1, 2);
   cfg.log = &log;
-  Supervisor sup(cfg);
-  sup.run({sh("bad", "exit 5")});
+  run_all(cfg, {sh("bad", "exit 5")});
   const std::string text = log.str();
   EXPECT_NE(text.find("retry"), std::string::npos);
   EXPECT_NE(text.find("exit"), std::string::npos);

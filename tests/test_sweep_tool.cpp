@@ -1,31 +1,42 @@
 // End-to-end tests of the repmpi_sweep binary: clean sweep, SIGKILL
 // mid-sweep + --resume bit-identity, worker crash/corrupt retry, stall →
-// timeout with graceful degradation, and torn-log recovery. These drive the
-// real executable (path injected by CMake as REPMPI_SWEEP_BIN) through the
-// REPMPI_FAULT_* chaos knobs — the same scenarios the CI chaos job runs.
+// timeout with graceful degradation, torn-log recovery, and one dump path
+// shared with repmpi_sweepctl. These drive the real executables (paths
+// injected by CMake as REPMPI_SWEEP_BIN / REPMPI_SWEEPCTL_BIN) through the
+// REPMPI_FAULT_* chaos knobs — the same scenarios the CI chaos job runs —
+// and check the in-process cell definition against the worker's output.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
+
+#include "sweep_common.hpp"
 
 #ifndef REPMPI_SWEEP_BIN
 #error "REPMPI_SWEEP_BIN must be defined by the build (path to repmpi_sweep)"
+#endif
+#ifndef REPMPI_SWEEPCTL_BIN
+#error "REPMPI_SWEEPCTL_BIN must be defined by the build"
 #endif
 
 namespace {
 
 struct CmdResult {
   int code = -1;       // exit status; 128+sig when signal-killed
-  std::string output;  // combined stdout+stderr
+  std::string output;  // stdout, plus stderr unless discarded
 };
 
-/// Runs a shell command, capturing combined output and the exit status.
-CmdResult run_cmd(const std::string& cmd) {
+/// Runs a shell command, capturing its output and the exit status. stderr
+/// joins the output unless `stdout_only`.
+CmdResult run_cmd(const std::string& cmd, bool stdout_only = false) {
   CmdResult result;
-  std::FILE* pipe = ::popen((cmd + " 2>&1").c_str(), "r");
+  std::FILE* pipe =
+      ::popen((cmd + (stdout_only ? " 2>/dev/null" : " 2>&1")).c_str(), "r");
   if (pipe == nullptr) return result;
   char buf[4096];
   std::size_t n;
@@ -240,6 +251,66 @@ TEST_F(SweepTool, TornLogWriteIsRecoveredOnResume) {
   EXPECT_NE(resumed.output.find("log recovery"), std::string::npos)
       << resumed.output;
   EXPECT_EQ(dump(log), *clean_dump_);
+}
+
+TEST_F(SweepTool, BatchDumpAndSweepctlDumpAreByteIdentical) {
+  // Both tools print a log through the same ResultIndex → dump_cells path:
+  // their stdout must match byte for byte, whole log or torn.
+  const auto both_dumps = [](const std::string& log) {
+    const CmdResult batch = run_cmd(
+        std::string(REPMPI_SWEEP_BIN) + " --dump --log=" + log, true);
+    const CmdResult ctl =
+        run_cmd(std::string(REPMPI_SWEEPCTL_BIN) + " dump " + log, true);
+    EXPECT_EQ(batch.code, 0);
+    EXPECT_EQ(ctl.code, 0);
+    EXPECT_EQ(batch.output, ctl.output);
+    return batch.output;
+  };
+
+  const std::string clean = log_path("unified_clean");
+  ASSERT_EQ(run_cmd(sweep_cmd(clean)).code, 0);
+  EXPECT_EQ(both_dumps(clean), *clean_dump_);
+
+  // The log writer dies halfway through the record after its 3rd: three
+  // whole records and a torn tail.
+  const std::string torn = log_path("unified_torn");
+  ASSERT_EQ(run_cmd("REPMPI_FAULT_LOG_ABORT=3 " + sweep_cmd(torn)).code, 43);
+  EXPECT_NE(run_cmd(std::string(REPMPI_SWEEPCTL_BIN) + " dump " + torn)
+                .output.find("torn tail"),
+            std::string::npos);
+  EXPECT_EQ(count_lines_with(both_dumps(torn), " ok "), 3u);
+}
+
+bool same_bits(double a, double b) {
+  std::uint64_t x = 0, y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+TEST(SweepCell, InProcessRunMatchesTheWorkerBlobBitForBit) {
+  // One cell definition: the in-process tools::run_cell (what the sweep
+  // bench runs) and the fork/exec'd worker must be the same simulation.
+  const std::string key = "hpccg.l2.d3.early_crash";
+  repmpi::tools::Cell cell;
+  ASSERT_TRUE(repmpi::tools::parse_key(key, &cell));
+  const repmpi::tools::CellRun run = repmpi::tools::run_cell(cell, 6, 2);
+
+  const CmdResult worker =
+      run_cmd(std::string(REPMPI_SWEEP_BIN) + " --worker --cell=" + key +
+                  " --nx=6 --iters=2",
+              true);
+  ASSERT_EQ(worker.code, 0) << worker.output;
+  const auto field = [&worker](const char* name) {
+    return repmpi::tools::blob_number(worker.output, name);
+  };
+  EXPECT_TRUE(same_bits(field("wallclock"), run.result.wallclock))
+      << worker.output;
+  EXPECT_TRUE(same_bits(field("events"),
+                        static_cast<double>(run.result.events)));
+  EXPECT_TRUE(same_bits(field("messages"),
+                        static_cast<double>(run.result.net_messages)));
+  EXPECT_TRUE(same_bits(field("fingerprint"), run.fingerprint));
 }
 
 }  // namespace

@@ -17,6 +17,9 @@
 // sweep at ANY instant and rerunning with --resume completes the remaining
 // cells; per-cell metrics and determinism fingerprints are bit-identical to
 // an uninterrupted run (--dump output is byte-diffable across the two).
+// Cells run through the sweep core shared with repmpi_sweepd
+// (tools/sweep_core.hpp); --dump prints through the same ResultIndex path
+// as `repmpi_sweepctl dump`.
 //
 // --verify-log is the standalone fsck: it walks every record and the blob
 // sidecar, reports per-record CRC/framing status plus the truncation point
@@ -47,22 +50,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "apps/hpccg.hpp"
-#include "apps/runner.hpp"
 #include "support/options.hpp"
-#include "support/result_log.hpp"
-#include "support/supervisor.hpp"
 #include "sweep_common.hpp"
+#include "sweep_core.hpp"
 
 namespace repmpi::tools {
 namespace {
 
 using support::CellStatus;
-using support::ResultRecord;
 
 void print_usage() {
   std::cout
@@ -126,42 +124,9 @@ int run_worker(const support::Options& opt) {
     return 0;
   }
 
-  const int nx = static_cast<int>(opt.get_int("nx", 8));
-  const int iters = static_cast<int>(opt.get_int("iters", 4));
-
-  fault::FaultPlan plan;
-  if (cell.scenario == "early_crash") {
-    // A replica (plane 1 of logical rank 0) dies right after its 2nd task.
-    plan.add({.world_rank = cell.logical,
-              .site = fault::CrashSite::kAfterTaskExec, .nth = 2});
-  } else if (cell.scenario == "late_crash") {
-    // Same replica dies mid-update deep into the run.
-    plan.add({.world_rank = cell.logical,
-              .site = fault::CrashSite::kBetweenArgSends, .nth = 4 * iters});
-  }
-
-  apps::RunConfig cfg;
-  cfg.mode = cell.degree == 1 ? apps::RunMode::kNative : apps::RunMode::kIntra;
-  cfg.num_logical = cell.logical;
-  cfg.degree = cell.degree;
-  if (!plan.empty()) cfg.faults = &plan;
-
-  apps::HpccgParams p;
-  p.nx = p.ny = nx;
-  p.nz = 2 * nx;
-  p.iterations = iters;
-
-  // Determinism fingerprint: the solver's numeric outcome (same probe as
-  // the app crash-sweep tests). Captured from the first rank to report.
-  double fingerprint = 0;
-  bool captured = false;
-  const apps::RunResult r = apps::run_app(cfg, [&](apps::AppContext& ctx) {
-    const apps::HpccgResult hr = apps::hpccg(ctx, p);
-    if (!captured) {
-      fingerprint = hr.rnorm + hr.xsum;
-      captured = true;
-    }
-  });
+  const CellRun run = run_cell(cell, static_cast<int>(opt.get_int("nx", 8)),
+                                static_cast<int>(opt.get_int("iters", 4)));
+  const apps::RunResult& r = run.result;
 
   // One-line JSON, full precision: every field is a virtual-time quantity,
   // bit-identical however many times (or on which attempt) the cell runs.
@@ -169,43 +134,27 @@ int run_worker(const support::Options& opt) {
       "{\"key\": \"%s\", \"wallclock\": %.17g, \"events\": %llu, "
       "\"messages\": %llu, \"fingerprint\": %.17g}\n",
       key.c_str(), r.wallclock, static_cast<unsigned long long>(r.events),
-      static_cast<unsigned long long>(r.net_messages), fingerprint);
+      static_cast<unsigned long long>(r.net_messages), run.fingerprint);
   return 0;
 }
 
 // --- Dump mode --------------------------------------------------------------
 
 int run_dump(const std::string& log_path) {
-  support::ResultLogReader reader(log_path);
-  std::map<std::string, ResultRecord> latest;
-  ResultRecord rec;
-  std::size_t n = 0;
-  while (reader.next(&rec)) {
-    latest[rec.key] = std::move(rec);
-    ++n;
-  }
-  if (n == 0 && !reader.dropped_tail()) {
+  support::ResultIndex index;
+  index.add_log(log_path);
+  if (index.size() == 0 && !index.last_log_torn()) {
     std::cerr << "repmpi_sweep: no records in " << log_path << "\n";
     return 1;
   }
-  dump_cells(latest);
-  if (reader.dropped_tail())
+  dump_cells(index);
+  if (index.last_log_torn())
     std::fprintf(stderr, "repmpi_sweep: note: log has a torn tail "
                          "(recoverable; a writer was killed mid-append)\n");
   return 0;
 }
 
 // --- Supervisor mode --------------------------------------------------------
-
-std::string self_exe(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;
-}
 
 bool file_nonempty(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -217,26 +166,7 @@ bool file_nonempty(const std::string& path) {
 }
 
 int run_sweep(const support::Options& opt, const char* argv0) {
-  // Out-of-range values are an error, not a silent clamp (same policy as
-  // repmpi_bench --jobs/--shards).
-  const auto ranged = [&opt](const char* key, long def, long lo, long hi,
-                             long& out) {
-    out = opt.get_int(key, def);
-    if (out < lo || out > hi) {
-      std::cerr << "repmpi_sweep: --" << key << "=" << out
-                << " out of range [" << lo << ", " << hi << "]\n";
-      return false;
-    }
-    return true;
-  };
-  long jobs = 0, nx = 0, iters = 0, timeout_sec = 0, max_attempts = 0;
-  if (!ranged("jobs", 2, 1, 256, jobs) || !ranged("nx", 8, 4, 512, nx) ||
-      !ranged("iters", 4, 1, 64, iters) ||
-      !ranged("timeout-sec", 120, 1, 86400, timeout_sec) ||
-      !ranged("max-attempts", 3, 1, 99, max_attempts)) {
-    return 2;
-  }
-
+  SweepCoreConfig cfg = core_config(opt, "repmpi_sweep");
   const std::string log_path = opt.get("log", "sweep_results.bin");
   const bool resume = opt.get_bool("resume", false);
   if (opt.get_bool("overwrite", false)) {
@@ -249,85 +179,48 @@ int run_sweep(const support::Options& opt, const char* argv0) {
     return 2;
   }
 
-  support::ResultLog log(log_path);
-  if (log.recovered_torn_tail())
+  const long jobs = cfg.jobs;
+  cfg.log_path = log_path;
+  cfg.worker_bin = self_exe(argv0);
+  cfg.backoff_jitter_seed = 0x52455053u;
+  cfg.kill_after_env = "REPMPI_FAULT_SUPERVISOR_KILL_AFTER";
+  SweepCore core(std::move(cfg));
+  if (core.log().recovered_torn_tail())
     std::cout << "[log recovery: dropped a torn trailing record]\n";
 
-  const auto latest = log.latest_by_key();
+  // The request set is the fixed grid, so resuming needs only the log:
+  // cells it durably records as ok are never re-run.
+  const auto ok = [&core](const Cell& c) {
+    const support::IndexedResult* r = core.index().find(c.key());
+    return r != nullptr && r->record.status == CellStatus::kOk;
+  };
   const std::vector<Cell> grid = make_grid();
-  const std::string exe = self_exe(argv0);
-  std::vector<support::WorkItem> items;
   std::size_t skipped = 0;
   for (const Cell& c : grid) {
-    const std::string key = c.key();
-    const auto it = latest.find(key);
-    if (resume && it != latest.end() && it->second.status == CellStatus::kOk) {
-      ++skipped;  // durably completed before the crash — never re-run
-      continue;
+    if (resume && ok(c)) {
+      ++skipped;
+    } else {
+      core.schedule(c.key());
     }
-    support::WorkItem item;
-    item.key = key;
-    item.argv = {exe, "--worker", "--cell=" + key,
-                 "--nx=" + std::to_string(nx),
-                 "--iters=" + std::to_string(iters)};
-    item.timeout_sec = static_cast<double>(timeout_sec);
-    items.push_back(std::move(item));
   }
   std::cout << "sweep: " << grid.size() << " cells, " << skipped
-            << " already complete, " << items.size() << " to run on " << jobs
-            << " worker process(es) (log: " << log_path << ")\n";
+            << " already complete, " << grid.size() - skipped
+            << " to run on " << jobs << " worker process(es) (log: "
+            << log_path << ")\n";
+  while (core.supervisor().active() > 0) core.supervisor().step(500);
 
-  const long kill_after = env_long("REPMPI_FAULT_SUPERVISOR_KILL_AFTER", -1);
-  long appended = 0;
-
-  support::SupervisorConfig cfg;
-  cfg.jobs = static_cast<int>(jobs);
-  cfg.max_attempts = static_cast<int>(max_attempts);
-  // Deterministic retry jitter: cells failing at the same instant (a node
-  // brownout stalling every worker at once) spread their retries instead of
-  // re-hammering the host in lockstep. Fixed seed = reproducible delays.
-  cfg.backoff_jitter_seed = 0x52455053u;
-  cfg.log = &std::cout;
-  // A clean exit with a blob that isn't this cell's metrics line is corrupt
-  // output — retried like any other failure class.
-  cfg.validate = [](const support::WorkItem& item, const std::string& out) {
-    return out.rfind("{\"key\": \"" + item.key + "\"", 0) == 0 &&
-           out.find("\"fingerprint\"") != std::string::npos;
-  };
-  cfg.on_result = [&](const support::WorkItem&, const support::WorkResult& r) {
-    ResultRecord rec;
-    rec.key = r.key;
-    rec.status = r.status;
-    rec.attempts = static_cast<std::uint32_t>(r.attempts);
-    rec.code = r.code;
-    // Keep the blob deterministic: the metrics line on success, empty on
-    // failure (a crashed worker's partial bytes are noise, not results).
-    if (r.status == CellStatus::kOk) rec.blob = r.output;
-    log.append(rec);
-    if (kill_after >= 0 && ++appended >= kill_after) ::raise(SIGKILL);
-  };
-
-  support::Supervisor supervisor(cfg);
-  supervisor.run(items);
-
-  // Judge the whole grid from the log (covers resumed + just-run cells).
-  const auto final_state = log.latest_by_key();
-  std::size_t ok = 0;
+  // Judge the whole grid from the index (resumed + just-run cells).
   std::vector<std::string> failed;
   for (const Cell& c : grid) {
-    const auto it = final_state.find(c.key());
-    if (it != final_state.end() && it->second.status == CellStatus::kOk) {
-      ++ok;
-    } else {
-      failed.push_back(
-          c.key() + " (" +
-          (it == final_state.end() ? "missing"
-                                   : support::to_string(it->second.status)) +
-          ")");
-    }
+    if (ok(c)) continue;
+    const support::IndexedResult* r = core.index().find(c.key());
+    failed.push_back(c.key() + " (" +
+                     (r == nullptr ? "missing"
+                                   : support::to_string(r->record.status)) +
+                     ")");
   }
-  std::cout << "sweep complete: " << ok << "/" << grid.size()
-            << " cells ok\n";
+  std::cout << "sweep complete: " << grid.size() - failed.size() << "/"
+            << grid.size() << " cells ok\n";
   if (!failed.empty()) {
     std::cout << "failed cells (sweep degraded gracefully, exit 3):\n";
     for (const std::string& f : failed) std::cout << "  " << f << "\n";
@@ -374,6 +267,9 @@ int driver(int argc, char** argv) {
       return 0;
     }
     return run_sweep(opt, argv[0]);
+  } catch (const support::UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "repmpi_sweep: " << e.what() << "\n";
     return 1;

@@ -35,7 +35,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -212,9 +211,7 @@ int load_index(const std::vector<std::string>& paths, ResultIndex* index) {
 int cmd_dump(const std::vector<std::string>& paths) {
   ResultIndex index;
   if (const int rc = load_index(paths, &index); rc != 0) return rc;
-  std::map<std::string, support::ResultRecord> latest;
-  for (const IndexedResult* r : index.all()) latest[r->record.key] = r->record;
-  dump_cells(latest);
+  dump_cells(index);
   return 0;
 }
 

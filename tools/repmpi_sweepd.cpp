@@ -1,6 +1,7 @@
 // repmpi_sweepd — the long-running sweep service: a single-threaded daemon
 // that accepts sweep-cell requests over a Unix-domain socket, executes them
-// with the process-isolating supervisor, and survives SIGKILL at any
+// through the sweep core it shares with repmpi_sweep (tools/sweep_core.hpp:
+// supervisor, result log, per-key state), and survives SIGKILL at any
 // instant without losing accepted work.
 //
 //   repmpi_sweepd --spool=DIR [--jobs=N] [--nx=N] [--iters=N]
@@ -61,10 +62,9 @@
 #include <vector>
 
 #include "support/options.hpp"
-#include "support/result_log.hpp"
-#include "support/supervisor.hpp"
 #include "support/sweep_client.hpp"
 #include "sweep_common.hpp"
+#include "sweep_core.hpp"
 
 namespace repmpi::tools {
 namespace {
@@ -75,11 +75,6 @@ namespace wire = support::wire;
 
 volatile sig_atomic_t g_drain_signal = 0;
 void on_term_signal(int) { g_drain_signal = 1; }
-
-long env_long(const char* name, long def) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? def : std::strtol(v, nullptr, 10);
-}
 
 void print_usage() {
   std::cout
@@ -118,12 +113,10 @@ class SweepDaemon {
   int serve();
 
  private:
-  void open_logs();
   void resume_queue();
   void open_socket();
   void begin_drain(const char* why);
-  void on_worker_result(const support::WorkItem& item,
-                        const support::WorkResult& r);
+  void on_record(const ResultRecord& rec);
   void schedule(const std::string& key);
   void poll_sockets(int timeout_ms);
   void handle_frames(Conn& conn);
@@ -135,31 +128,20 @@ class SweepDaemon {
 
   std::string spool_;
   std::string socket_path_;
-  std::string sweep_bin_;
-  long nx_ = 8;
-  long iters_ = 4;
-  long timeout_sec_ = 120;
   long queue_depth_ = 64;
   long client_cap_ = 8;
 
-  std::unique_ptr<support::ResultLog> results_;
+  /// results.bin plus the supervisor; its per-key run count is the epoch
+  /// clock queue records are compared against.
+  std::unique_ptr<SweepCore> core_;
   std::unique_ptr<support::ResultLog> queue_;
-  std::unique_ptr<support::Supervisor> supervisor_;
-
-  /// Terminal-result count per key — the epoch clock queue records are
-  /// compared against.
-  std::unordered_map<std::string, std::uint64_t> counts_;
-  std::map<std::string, ResultRecord> latest_;
   /// Supervisor enqueues not yet terminal, per key (0 or 1 in steady
   /// state: duplicate pending submits coalesce).
   std::unordered_map<std::string, std::uint32_t> outstanding_;
-  std::size_t scheduled_total_ = 0;  ///< cells handed to the supervisor
 
   int listen_fd_ = -1;
   std::deque<Conn> conns_;
   bool draining_ = false;
-  long kill_after_ = -1;
-  long appended_ = 0;
 };
 
 SweepDaemon::SweepDaemon(const support::Options& opt, const char* argv0) {
@@ -169,50 +151,33 @@ SweepDaemon::SweepDaemon(const support::Options& opt, const char* argv0) {
   ::mkdir(spool_.c_str(), 0777);  // fine if it already exists
   socket_path_ = spool_ + "/sweepd.sock";
 
-  const auto ranged = [&opt](const char* key, long def, long lo, long hi) {
-    const long v = opt.get_int(key, def);
-    if (v < lo || v > hi)
-      throw support::UsageError("repmpi_sweepd: --" + std::string(key) +
-                                " out of range");
-    return v;
-  };
-  nx_ = ranged("nx", 8, 4, 512);
-  iters_ = ranged("iters", 4, 1, 64);
-  timeout_sec_ = ranged("timeout-sec", 120, 1, 86400);
-  queue_depth_ = ranged("queue-depth", 64, 1, 100000);
-  client_cap_ = ranged("client-cap", 8, 1, 100000);
-
-  // The worker binary: repmpi_sweep --worker, by default the sibling of
-  // this executable (both live in the build tree's top level).
-  sweep_bin_ = opt.get("sweep-bin");
-  if (sweep_bin_.empty() || sweep_bin_ == "true") {
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    std::string self = n > 0 ? (buf[n] = '\0', std::string(buf)) : argv0;
-    const auto slash = self.rfind('/');
-    sweep_bin_ = (slash == std::string::npos ? std::string(".")
-                                             : self.substr(0, slash)) +
-                 "/repmpi_sweep";
-  }
-
-  support::SupervisorConfig cfg;
-  cfg.jobs = static_cast<int>(ranged("jobs", 2, 1, 256));
-  cfg.max_attempts = static_cast<int>(ranged("max-attempts", 3, 1, 99));
+  SweepCoreConfig cfg = core_config(opt, "repmpi_sweepd");
+  cfg.log_path = spool_ + "/results.bin";
+  queue_depth_ = ranged_option(opt, "repmpi_sweepd", "queue-depth", 64, 1,
+                               100000);
+  client_cap_ = ranged_option(opt, "repmpi_sweepd", "client-cap", 8, 1,
+                              100000);
   // Service retries must not self-synchronize: a brownout failing every
   // running cell at once would otherwise retry them in lockstep forever.
   cfg.backoff_jitter_seed = 0x53575044u;  // deterministic per (key, retry)
-  cfg.log = &std::cout;
-  cfg.validate = [](const support::WorkItem& item, const std::string& out) {
-    return out.rfind("{\"key\": \"" + item.key + "\"", 0) == 0 &&
-           out.find("\"fingerprint\"") != std::string::npos;
-  };
-  cfg.on_result = [this](const support::WorkItem& item,
-                         const support::WorkResult& r) {
-    on_worker_result(item, r);
-  };
-  supervisor_ = std::make_unique<support::Supervisor>(std::move(cfg));
+  cfg.kill_after_env = "REPMPI_FAULT_DAEMON_KILL_AFTER";
 
-  kill_after_ = env_long("REPMPI_FAULT_DAEMON_KILL_AFTER", -1);
+  // The worker binary: repmpi_sweep --worker, by default the sibling of
+  // this executable (both live in the build tree's top level).
+  cfg.worker_bin = opt.get("sweep-bin");
+  if (cfg.worker_bin.empty() || cfg.worker_bin == "true") {
+    const std::string self = self_exe(argv0);
+    const auto slash = self.rfind('/');
+    cfg.worker_bin = (slash == std::string::npos ? std::string(".")
+                                                 : self.substr(0, slash)) +
+                     "/repmpi_sweep";
+  }
+
+  core_ = std::make_unique<SweepCore>(
+      std::move(cfg), [this](const ResultRecord& rec) { on_record(rec); });
+  if (core_->log().recovered_torn_tail())
+    std::cout << "[sweepd] results.bin: dropped a torn trailing record "
+                 "(previous incarnation died mid-append)\n";
 }
 
 SweepDaemon::~SweepDaemon() {
@@ -221,17 +186,6 @@ SweepDaemon::~SweepDaemon() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     ::unlink(socket_path_.c_str());
-  }
-}
-
-void SweepDaemon::open_logs() {
-  results_ = std::make_unique<support::ResultLog>(spool_ + "/results.bin");
-  if (results_->recovered_torn_tail())
-    std::cout << "[sweepd] results.bin: dropped a torn trailing record "
-                 "(previous incarnation died mid-append)\n";
-  for (const ResultRecord& r : results_->records()) {
-    ++counts_[r.key];
-    latest_[r.key] = r;
   }
 }
 
@@ -249,9 +203,7 @@ void SweepDaemon::resume_queue() {
     while (reader.next(&rec)) {
       ++total;
       const std::uint64_t epoch = rec.attempts;
-      const auto it = counts_.find(rec.key);
-      const std::uint64_t count = it == counts_.end() ? 0 : it->second;
-      if (count > epoch) continue;  // satisfied before the restart
+      if (core_->runs(rec.key) > epoch) continue;  // satisfied before restart
       ++unsatisfied;
       auto [nit, fresh] = need.try_emplace(rec.key, epoch + 1);
       if (!fresh && epoch + 1 > nit->second) nit->second = epoch + 1;
@@ -275,11 +227,8 @@ void SweepDaemon::resume_queue() {
   if (queue_->recovered_torn_tail())
     std::cout << "[sweepd] queue.bin: truncated torn tail on reopen\n";
 
-  for (const auto& [key, required] : need) {
-    const auto it = counts_.find(key);
-    const std::uint64_t have = it == counts_.end() ? 0 : it->second;
-    for (std::uint64_t i = have; i < required; ++i) schedule(key);
-  }
+  for (const auto& [key, required] : need)
+    for (std::uint64_t i = core_->runs(key); i < required; ++i) schedule(key);
   if (!need.empty())
     std::cout << "[sweepd] resume: re-scheduled " << need.size()
               << " accepted-but-unfinished cell(s) from queue.bin\n";
@@ -309,42 +258,25 @@ void SweepDaemon::open_socket() {
 void SweepDaemon::schedule(const std::string& key) {
   Cell cell;
   REPMPI_CHECK_MSG(parse_key(key, &cell), "unparseable queued key " << key);
-  support::WorkItem item;
-  item.key = key;
-  item.argv = {sweep_bin_, "--worker", "--cell=" + key,
-               "--nx=" + std::to_string(nx_),
-               "--iters=" + std::to_string(iters_)};
-  item.timeout_sec = static_cast<double>(timeout_sec_);
-  supervisor_->enqueue(std::move(item));
+  core_->schedule(key);
   ++outstanding_[key];
-  ++scheduled_total_;
 }
 
-void SweepDaemon::on_worker_result(const support::WorkItem&,
-                                   const support::WorkResult& r) {
-  ResultRecord rec;
-  rec.key = r.key;
-  rec.status = r.status;
-  rec.attempts = static_cast<std::uint32_t>(r.attempts);
-  rec.code = r.code;
-  if (r.status == CellStatus::kOk) rec.blob = r.output;
-  results_->append(rec);  // durable before any bookkeeping sees it
-  ++counts_[r.key];
-  latest_[r.key] = std::move(rec);
-  auto it = outstanding_.find(r.key);
+void SweepDaemon::on_record(const ResultRecord& rec) {
+  auto it = outstanding_.find(rec.key);
   if (it != outstanding_.end() && it->second > 0 && --it->second == 0)
     outstanding_.erase(it);
-  for (Conn& c : conns_) c.inflight.erase(r.key);
-  if (kill_after_ >= 0 && ++appended_ >= kill_after_) ::raise(SIGKILL);
+  for (Conn& c : conns_) c.inflight.erase(rec.key);
 }
 
 void SweepDaemon::begin_drain(const char* why) {
   if (draining_) return;
   draining_ = true;
-  supervisor_->hold_first_attempts(true);
+  support::Supervisor& sup = core_->supervisor();
+  sup.hold_first_attempts(true);
   std::cout << "[sweepd] draining (" << why << "): finishing "
-            << supervisor_->in_flight() << " in-flight cell(s), parking "
-            << supervisor_->queued_fresh() << " queued cell(s)\n";
+            << sup.in_flight() << " in-flight cell(s), parking "
+            << sup.queued_fresh() << " queued cell(s)\n";
 }
 
 wire::Frame SweepDaemon::handle_submit(Conn& conn, const wire::Frame& req) {
@@ -367,12 +299,12 @@ wire::Frame SweepDaemon::handle_submit(Conn& conn, const wire::Frame& req) {
     return nack(wire::kNackClientCap, "client in-flight cap reached");
   const bool needs_run = outstanding_.count(key) == 0;
   if (needs_run &&
-      supervisor_->active() >= static_cast<std::size_t>(queue_depth_))
+      core_->supervisor().active() >= static_cast<std::size_t>(queue_depth_))
     return nack(wire::kNackBusy, "queue depth reached");
 
   // Durability before the ack: the request record hits disk first, so a
   // SIGKILL after this point cannot lose an acked submit.
-  const std::uint64_t epoch = counts_.count(key) ? counts_[key] : 0;
+  const std::uint64_t epoch = core_->runs(key);
   ResultRecord qrec;
   qrec.key = key;
   qrec.status = CellStatus::kOk;  // unused for queue records
@@ -403,24 +335,25 @@ wire::Frame SweepDaemon::dispatch(Conn& conn, const wire::Frame& req) {
       return resp;
     case wire::kSubmit:
       return handle_submit(conn, req);
-    case wire::kStatus:
+    case wire::kStatus: {
+      const support::Supervisor& sup = core_->supervisor();
       std::snprintf(line, sizeof(line),
                     "active=%zu running=%zu fresh=%zu draining=%d keys=%zu "
-                    "results=%llu",
-                    supervisor_->active(), supervisor_->running(),
-                    supervisor_->queued_fresh(), draining_ ? 1 : 0,
-                    latest_.size(),
-                    static_cast<unsigned long long>(results_->records().size()));
+                    "results=%zu",
+                    sup.active(), sup.running(), sup.queued_fresh(),
+                    draining_ ? 1 : 0, core_->index().size(),
+                    core_->log().records().size());
       resp.payload = line;
       return resp;
+    }
     case wire::kQuery: {
       const std::string& key = req.payload;
       if (outstanding_.count(key) > 0) {
         resp.payload = "scheduled";
-      } else if (const auto it = latest_.find(key); it != latest_.end()) {
+      } else if (const auto* r = core_->index().find(key); r != nullptr) {
         std::snprintf(line, sizeof(line), "done status=%s attempts=%u code=%d",
-                      support::to_string(it->second.status),
-                      it->second.attempts, it->second.code);
+                      support::to_string(r->record.status),
+                      r->record.attempts, r->record.code);
         resp.payload = line;
       } else {
         resp.payload = "unknown";
@@ -550,23 +483,23 @@ void SweepDaemon::poll_sockets(int timeout_ms) {
 }
 
 int SweepDaemon::serve() {
-  open_logs();
+  support::Supervisor& sup = core_->supervisor();
   resume_queue();
   open_socket();
   std::cout << "[sweepd] serving on " << socket_path_ << " ("
-            << latest_.size() << " key(s) on record, "
-            << supervisor_->active() << " resumed cell(s))\n";
+            << core_->index().size() << " key(s) on record, " << sup.active()
+            << " resumed cell(s))\n";
   std::cout.flush();
 
   while (true) {
     if (g_drain_signal != 0) begin_drain("SIGTERM");
-    if (draining_ && supervisor_->in_flight() == 0) break;
+    if (draining_ && sup.in_flight() == 0) break;
     poll_sockets(20);
-    supervisor_->step(0);
+    sup.step(0);
   }
 
-  const std::size_t parked = supervisor_->queued_fresh();
-  std::cout << "[sweepd] drained: " << results_->records().size()
+  const std::size_t parked = sup.queued_fresh();
+  std::cout << "[sweepd] drained: " << core_->log().records().size()
             << " result(s) on record, " << parked
             << " cell(s) parked for the next incarnation\n";
   return 0;
